@@ -167,6 +167,7 @@ fn budget_workloads() -> Vec<BudgetRun> {
         ("frames_decoded", w.frames_decoded),
         ("bytes_decoded", w.bytes_decoded),
         ("flushes", w.flushes),
+        ("control_frames", w.control_frames),
         ("frame_bytes_max", w.frame_bytes.max()),
     ];
     out.push((

@@ -170,6 +170,7 @@ fn counters_list(app: &TkApp) -> String {
             ("wire.backpressure_stalls", wire.backpressure_stalls),
             ("wire.checksum_errors", wire.checksum_errors),
             ("wire.watchdog_fires", wire.watchdog_fires),
+            ("wire.control_frames", wire.control_frames),
         ] {
             items.push(name.into());
             items.push(v.to_string());

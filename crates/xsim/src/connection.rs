@@ -4,12 +4,14 @@
 //! A `Connection` mirrors Xlib's calling surface, including its buffered
 //! transport: one-way requests are queued in a per-client output buffer
 //! and only reach the server at a *flush point* — an explicit [`flush`],
-//! the buffer filling, a synchronous reply-bearing request, or blocking
-//! for events. Reply-bearing requests can also be *pipelined*: the
-//! `send_*` methods queue the request and return a sequence-numbered
-//! [`Cookie`] that is redeemed later with [`wait`], so several replies
-//! travel back in one blocking wait. The counters power the Table II
-//! client/server split and the Section 3.3 cache-ablation experiment.
+//! the buffer filling, a synchronous reply-bearing request, or checking
+//! for events while the local event queue is empty (one fetch then
+//! brings back every queued event, as Xlib reads a socket into its
+//! queue). Reply-bearing requests can also be *pipelined*: the `send_*`
+//! methods queue the request and return a sequence-numbered [`Cookie`]
+//! that is redeemed later with [`wait`], so several replies travel back
+//! in one blocking wait. The counters power the Table II client/server
+//! split and the Section 3.3 cache-ablation experiment.
 //!
 //! Everything below the calling surface goes through a [`Transport`]:
 //! either the in-process path (the server behind a `RefCell`, kept as
@@ -105,8 +107,10 @@ pub(crate) trait Transport {
         bitmap: crate::bitmap::Bitmap,
     ) -> crate::bitmap::BitmapId;
     fn wait_reply(&self, client: ClientId, seq: u64) -> WaitReply;
-    fn poll_event(&self, client: ClientId) -> Option<Event>;
-    fn pending(&self, client: ClientId) -> usize;
+    /// Flushes every client's output buffer, releases delayed events, and
+    /// hands over *all* of `client`'s queued events in one call — the
+    /// only way events leave the server. Empty for a dead connection.
+    fn fetch_events(&self, client: ClientId) -> Vec<Event>;
 }
 
 /// The in-process transport: the server lives behind a `RefCell` on this
@@ -284,16 +288,10 @@ impl Transport for LocalTransport {
         }
     }
 
-    fn poll_event(&self, client: ClientId) -> Option<Event> {
+    fn fetch_events(&self, client: ClientId) -> Vec<Event> {
         let mut s = self.server.borrow_mut();
         s.flush_all();
-        s.poll_event(client)
-    }
-
-    fn pending(&self, client: ClientId) -> usize {
-        let mut s = self.server.borrow_mut();
-        s.flush_all();
-        s.pending(client)
+        s.drain_events(client)
     }
 }
 
@@ -387,7 +385,11 @@ impl Display {
         self.connected.set(true);
         let transport = self.transport();
         let client = transport.connect();
-        Connection { transport, client }
+        Connection {
+            transport,
+            client,
+            events: Rc::default(),
+        }
     }
 
     /// Reconfigures the wire sync-watchdog deadline at runtime, in
@@ -558,11 +560,16 @@ impl FromReply for Option<Geometry> {
     }
 }
 
-/// One client's connection to the display.
+/// One client's connection to the display. Clones share the client id
+/// and the local event queue, so an event is delivered to exactly one
+/// of them.
 #[derive(Clone)]
 pub struct Connection {
     transport: Rc<dyn Transport>,
     client: ClientId,
+    /// Events already fetched from the server but not yet taken — Xlib's
+    /// event queue.
+    events: Rc<RefCell<std::collections::VecDeque<Event>>>,
 }
 
 impl Connection {
@@ -1366,16 +1373,27 @@ impl Connection {
 
     // --- events ---
 
-    /// Takes the next queued event, if any. Like `XPending`/`XNextEvent`,
-    /// checking for events is a flush point: all output buffers are
-    /// written out before looking at the queue.
+    /// Takes the next event, if any, from the local queue, after
+    /// [`pending`](Connection::pending) has refilled an empty queue or
+    /// emptied a dead connection's.
     pub fn poll_event(&self) -> Option<Event> {
-        self.transport.poll_event(self.client)
+        self.pending();
+        self.events.borrow_mut().pop_front()
     }
 
-    /// Number of queued events (flushes first, like `XPending`).
+    /// Number of events ready to take, like `XPending`: the local queue's
+    /// length. Only an empty queue is a flush point — one transport call
+    /// flushes every output buffer and fetches all of this client's
+    /// queued events at once. A dead connection delivers nothing, not
+    /// even events it had already fetched.
     pub fn pending(&self) -> usize {
-        self.transport.pending(self.client)
+        let mut events = self.events.borrow_mut();
+        if events.is_empty() {
+            events.extend(self.transport.fetch_events(self.client));
+        } else if !self.alive() {
+            events.clear();
+        }
+        events.len()
     }
 }
 
@@ -1665,7 +1683,7 @@ mod tests {
 
     // --- fault injection ---
 
-    use crate::fault::{FaultPlan, XErrorCode};
+    use crate::fault::{FaultAction, FaultPlan, FaultSpec, XErrorCode};
 
     #[test]
     fn error_fault_on_round_trip_surfaces_as_err() {
@@ -1914,5 +1932,159 @@ mod tests {
         };
         assert_eq!(run(true), run(false));
         assert!(!run(true));
+    }
+
+    // --- the local event queue ---
+
+    /// Two mapped windows side by side, both selecting crossing, button
+    /// and key events, with focus on the left one and the setup's own
+    /// events already taken.
+    fn input_windows(wire: bool) -> (Display, Connection) {
+        let d = Display::new();
+        d.set_wire(wire);
+        let c = d.connect();
+        let input = mask::ENTER_WINDOW
+            | mask::LEAVE_WINDOW
+            | mask::BUTTON_PRESS
+            | mask::BUTTON_RELEASE
+            | mask::KEY_PRESS;
+        for x in [0, 50] {
+            let w = c.create_window(c.root(), x, 0, 40, 40, 0).unwrap();
+            c.select_input(w, input);
+            c.map_window(w);
+            if x == 0 {
+                c.set_input_focus(w);
+            }
+        }
+        while c.poll_event().is_some() {}
+        (d, c)
+    }
+
+    /// The user crosses from the left window (where the pointer starts)
+    /// to the right one, clicks there and types two keys (delivered to
+    /// the focused left window): six events.
+    fn user_input(d: &Display) {
+        d.move_pointer(60, 5);
+        d.click(1);
+        d.type_string("ok");
+    }
+
+    #[test]
+    fn one_fetch_delivers_every_queued_event_in_order() {
+        let run = |wire: bool| {
+            let (d, c) = input_windows(wire);
+            user_input(&d);
+            let before = c.wire_stats().control_frames;
+            let n = c.pending();
+            let events: Vec<Event> = (0..n).map(|_| c.poll_event().unwrap()).collect();
+            (events, c.wire_stats().control_frames - before)
+        };
+        let (wire, handoffs) = run(true);
+        let (oracle, oracle_handoffs) = run(false);
+        let names: Vec<&str> = wire.iter().map(Event::name).collect();
+        assert_eq!(
+            names,
+            [
+                "LeaveNotify",
+                "EnterNotify",
+                "ButtonPress",
+                "ButtonRelease",
+                "KeyPress",
+                "KeyPress"
+            ]
+        );
+        assert_eq!(handoffs, 1, "one control frame fetches the whole queue");
+        assert_eq!(oracle_handoffs, 0, "the oracle ships no frames");
+        assert_eq!(wire, oracle);
+    }
+
+    #[test]
+    fn clones_share_one_event_queue() {
+        for wire in [true, false] {
+            let (d, c) = input_windows(wire);
+            let twin = c.clone();
+            user_input(&d);
+            assert_eq!(c.pending(), twin.pending());
+            // Alternate handles: every event arrives exactly once.
+            let mut got = Vec::new();
+            while let Some(ev) = [&c, &twin][got.len() % 2].poll_event() {
+                got.push(ev);
+            }
+            let (d2, single) = input_windows(wire);
+            user_input(&d2);
+            let expected: Vec<Event> = std::iter::from_fn(|| single.poll_event()).collect();
+            assert_eq!(got, expected, "wire={wire}");
+            assert_eq!(twin.pending(), 0);
+        }
+    }
+
+    #[test]
+    fn a_dead_connection_delivers_no_fetched_events() {
+        // (wire, how the connection dies): a killed request on both
+        // transports, then byte damage and a wedged dispatcher on the wire.
+        for (wire, death) in [
+            (false, "kill"),
+            (true, "kill"),
+            (true, "checksum"),
+            (true, "watchdog"),
+        ] {
+            let (d, c) = input_windows(wire);
+            user_input(&d);
+            assert!(c.pending() >= 5, "events are fetched into the local queue");
+            let id = c.client_id().0;
+            let (frame, seq) = (c.wire_frame_timeline() + 1, c.sequence() + 1);
+            let action = match death {
+                "kill" => FaultAction::KillConnection,
+                "checksum" => FaultAction::CorruptByte { offset: 9, xor: 1 },
+                _ => FaultAction::StallDispatch { ticks: 20 },
+            };
+            let at = if death == "kill" { seq } else { frame };
+            d.with_server(|s| {
+                s.install_fault_plan(FaultPlan::new(vec![FaultSpec {
+                    client: id,
+                    at,
+                    action,
+                }]))
+            });
+            d.set_wire_deadline(20);
+            c.raise_window(c.root());
+            c.flush();
+            assert!(!c.alive(), "{death}");
+            let w = c.wire_stats();
+            assert_eq!(w.checksum_errors, u64::from(death == "checksum"));
+            assert_eq!(w.watchdog_fires, u64::from(death == "watchdog"));
+            assert_eq!(c.pending(), 0, "{death}");
+            assert!(c.poll_event().is_none(), "{death}");
+        }
+    }
+
+    #[test]
+    fn delayed_and_reordered_events_match_across_transports() {
+        let run = |wire: bool| {
+            let (d, c) = input_windows(wire);
+            let id = c.client_id().0;
+            let next = c.stats().events + 1;
+            let plan = FaultPlan::default()
+                .delay_at(id, next, 2) // LeaveNotify (left)
+                .reorder_at(id, next + 2) // ButtonPress (right)
+                .delay_at(id, next + 3, 100) // ButtonRelease (right)
+                .reorder_at(id, next + 7); // EnterNotify (left), second round
+            d.with_server(|s| s.install_fault_plan(plan));
+            user_input(&d);
+            // Read part of the queue, make more input, then read the rest:
+            // the long-held ButtonRelease must surface by the first fetch.
+            let mut events: Vec<Event> = (0..2).filter_map(|_| c.poll_event()).collect();
+            d.move_pointer(5, 5);
+            d.type_string("!");
+            events.extend(std::iter::from_fn(|| c.poll_event()));
+            let faults = c.with_obs(|o| o.fault_kind_counts()).unwrap();
+            (events, faults)
+        };
+        let (wire, wire_faults) = run(true);
+        let (oracle, oracle_faults) = run(false);
+        assert_eq!(wire_faults, vec![("delay", 2), ("reorder", 2)]);
+        assert_eq!(wire_faults, oracle_faults);
+        assert_eq!(wire.len(), 9, "no event is lost to a delay: {wire:?}");
+        assert_eq!(wire, oracle);
     }
 }

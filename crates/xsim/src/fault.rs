@@ -118,7 +118,7 @@ pub enum FaultAction {
     /// Execute the one-way request at this sequence number twice.
     DuplicateRequest,
     /// Hold the event at this enqueue index until `n` more events have
-    /// been enqueued (or a same-window event / a blocking poll forces
+    /// been enqueued (or a same-window event / an event fetch forces
     /// release).
     DelayEvent(u32),
     /// Swap the event at this enqueue index with the previously queued

@@ -235,6 +235,10 @@ pub struct WireStats {
     /// to ack within `RTK_WIRE_DEADLINE_MS`, surfaced to the client as a
     /// dead connection instead of a hang.
     pub watchdog_fires: u64,
+    /// Control frames shipped through the dispatcher inbox (flush, sync,
+    /// reply take, event poll). Each one is a cross-thread hand-off: the
+    /// client blocks until the dispatcher thread acks it.
+    pub control_frames: u64,
     /// Size distribution of encoded frames, in bytes.
     pub frame_bytes: Histogram,
 }
@@ -434,6 +438,7 @@ impl ClientObs {
             w.field_u64("backpressure_stalls", self.wire.backpressure_stalls);
             w.field_u64("checksum_errors", self.wire.checksum_errors);
             w.field_u64("watchdog_fires", self.wire.watchdog_fires);
+            w.field_u64("control_frames", self.wire.control_frames);
             w.field_raw("frame_bytes", &self.wire.frame_bytes.to_json());
             o.field_raw("wire", &w.build());
         }

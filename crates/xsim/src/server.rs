@@ -1581,7 +1581,7 @@ impl Server {
     /// Moves held-back events into the delivery queue: everything whose
     /// release index has passed, everything targeting `window` (the
     /// same-window ordering guard), or — when `window` is `None` — every
-    /// held event (a blocking poll: nothing is ever lost to a delay).
+    /// held event (an event fetch: nothing is ever lost to a delay).
     fn release_delayed(&mut self, client: ClientId, window: Option<WindowId>, now: u64) {
         let Some(c) = self.clients.get_mut(&client) else {
             return;
@@ -1668,21 +1668,15 @@ impl Server {
         None
     }
 
-    /// Next queued event for a client. A blocking poll is a release
-    /// point for delayed events: the simulated network may hold an event
-    /// back, but never loses it.
-    pub fn poll_event(&mut self, client: ClientId) -> Option<Event> {
+    /// Takes every queued event for a client, oldest first — what one
+    /// event fetch hands to the client's local queue. A fetch is a
+    /// release point for delayed events: the simulated network may hold
+    /// an event back, but never loses it.
+    pub fn drain_events(&mut self, client: ClientId) -> Vec<Event> {
         self.release_delayed(client, None, u64::MAX);
-        self.clients.get_mut(&client)?.queue.pop_front()
-    }
-
-    /// Number of queued events for a client (held-back delayed events
-    /// count: they are guaranteed to arrive by the next poll).
-    pub fn pending(&self, client: ClientId) -> usize {
         self.clients
-            .get(&client)
-            .map(|c| c.queue.len() + c.delayed.len())
-            .unwrap_or(0)
+            .get_mut(&client)
+            .map_or_else(Vec::new, |c| c.queue.drain(..).collect())
     }
 
     // ----- window requests ------------------------------------------------------
@@ -2832,7 +2826,7 @@ mod tests {
         let w = s.create_window(c, root, 10, 10, 100, 50, 1).unwrap();
         s.select_input(c, w, mask::EXPOSURE | mask::STRUCTURE_NOTIFY);
         s.map_window(w);
-        let events: Vec<Event> = std::iter::from_fn(|| s.poll_event(c)).collect();
+        let events = s.drain_events(c);
         assert!(events.iter().any(|e| matches!(e, Event::MapNotify { .. })));
         assert!(events.iter().any(|e| matches!(e, Event::Expose { .. })));
     }
@@ -2845,9 +2839,9 @@ mod tests {
         let child = s.create_window(c, parent, 0, 0, 50, 50, 0).unwrap();
         s.select_input(c, child, mask::EXPOSURE);
         s.map_window(child); // parent still unmapped: not viewable
-        assert_eq!(s.pending(c), 0);
+        assert!(s.drain_events(c).is_empty());
         s.map_window(parent); // now the child becomes viewable
-        let events: Vec<Event> = std::iter::from_fn(|| s.poll_event(c)).collect();
+        let events = s.drain_events(c);
         assert!(events
             .iter()
             .any(|e| matches!(e, Event::Expose { window, .. } if *window == child)));
@@ -2860,9 +2854,9 @@ mod tests {
         let w = s.create_window(c, root, 0, 0, 50, 50, 0).unwrap();
         s.select_input(c, w, mask::EXPOSURE | mask::STRUCTURE_NOTIFY);
         s.map_window(w);
-        while s.poll_event(c).is_some() {}
+        s.drain_events(c);
         s.configure_window(w, Some(5), None, Some(80), Some(60), None);
-        let events: Vec<Event> = std::iter::from_fn(|| s.poll_event(c)).collect();
+        let events = s.drain_events(c);
         assert!(events.iter().any(|e| matches!(
             e,
             Event::ConfigureNotify {
@@ -2883,7 +2877,7 @@ mod tests {
         let w = s.create_window(c, root, 0, 0, 50, 50, 0).unwrap();
         let kid = s.create_window(c, w, 0, 0, 10, 10, 0).unwrap();
         s.destroy_window(w);
-        let events: Vec<Event> = std::iter::from_fn(|| s.poll_event(c)).collect();
+        let events = s.drain_events(c);
         let destroyed: Vec<WindowId> = events
             .iter()
             .filter_map(|e| match e {
@@ -2903,12 +2897,12 @@ mod tests {
         s.select_input(c, w, mask::ENTER_WINDOW | mask::LEAVE_WINDOW);
         s.map_window(w);
         s.warp_pointer(125, 125);
-        let events: Vec<Event> = std::iter::from_fn(|| s.poll_event(c)).collect();
+        let events = s.drain_events(c);
         assert!(events
             .iter()
             .any(|e| matches!(e, Event::EnterNotify { window, .. } if *window == w)));
         s.warp_pointer(10, 10);
-        let events: Vec<Event> = std::iter::from_fn(|| s.poll_event(c)).collect();
+        let events = s.drain_events(c);
         assert!(events
             .iter()
             .any(|e| matches!(e, Event::LeaveNotify { window, .. } if *window == w)));
@@ -2925,7 +2919,7 @@ mod tests {
         s.map_window(child);
         s.warp_pointer(75, 75); // inside child
         s.press_button(1);
-        let events: Vec<Event> = std::iter::from_fn(|| s.poll_event(c)).collect();
+        let events = s.drain_events(c);
         let press = events
             .iter()
             .find_map(|e| match e {
@@ -2945,7 +2939,7 @@ mod tests {
         s.map_window(w);
         s.set_input_focus(w);
         s.press_key(Keysym::from_char('a'));
-        let events: Vec<Event> = std::iter::from_fn(|| s.poll_event(c)).collect();
+        let events = s.drain_events(c);
         assert!(events.iter().any(
             |e| matches!(e, Event::KeyPress { window, keysym, .. } if *window == w && keysym.name == "a")
         ));
@@ -2959,11 +2953,11 @@ mod tests {
         let atom = s.atoms.intern("MY_PROP");
         s.change_property(root, atom, "hello".into());
         assert_eq!(s.get_property(root, atom), Some("hello".into()));
-        let ev = s.poll_event(c).unwrap();
+        let ev = s.drain_events(c).remove(0);
         assert!(matches!(ev, Event::PropertyNotify { deleted: false, .. }));
         s.delete_property(root, atom);
         assert_eq!(s.get_property(root, atom), None);
-        let ev = s.poll_event(c).unwrap();
+        let ev = s.drain_events(c).remove(0);
         assert!(matches!(ev, Event::PropertyNotify { deleted: true, .. }));
     }
 
@@ -2977,7 +2971,7 @@ mod tests {
         assert_eq!(s.get_property(root, atom), Some("first".into()));
         s.append_property(root, atom, "second".into());
         assert_eq!(s.get_property(root, atom), Some("first\nsecond".into()));
-        let events: Vec<Event> = std::iter::from_fn(|| s.poll_event(c)).collect();
+        let events = s.drain_events(c);
         assert_eq!(
             events
                 .iter()
@@ -3006,13 +3000,15 @@ mod tests {
 
         // c2 requests conversion; c1 gets SelectionRequest.
         s.convert_selection(w2, primary, string, prop);
-        let req = s.poll_event(c1).unwrap();
+        let req = s.drain_events(c1).remove(0);
         assert!(matches!(req, Event::SelectionRequest { .. }));
 
         // c1 services it.
         s.change_property(w2, prop, "the selection".into());
         s.send_selection_notify(w2, primary, string, prop);
-        let notify = std::iter::from_fn(|| s.poll_event(c2))
+        let notify = s
+            .drain_events(c2)
+            .into_iter()
             .find(|e| matches!(e, Event::SelectionNotify { .. }))
             .unwrap();
         if let Event::SelectionNotify { property, .. } = notify {
@@ -3021,7 +3017,9 @@ mod tests {
 
         // New owner: old owner gets SelectionClear.
         s.set_selection_owner(c2, primary, w2);
-        let clear = std::iter::from_fn(|| s.poll_event(c1))
+        let clear = s
+            .drain_events(c1)
+            .into_iter()
             .find(|e| matches!(e, Event::SelectionClear { .. }))
             .unwrap();
         assert_eq!(clear.window(), w1);
@@ -3036,7 +3034,7 @@ mod tests {
         let tgt = s.atoms.intern("STRING");
         let prop = s.atoms.intern("R");
         s.convert_selection(w, sel, tgt, prop);
-        let ev = s.poll_event(c).unwrap();
+        let ev = s.drain_events(c).remove(0);
         assert!(matches!(
             ev,
             Event::SelectionNotify {
@@ -3056,7 +3054,7 @@ mod tests {
         s.select_input(c, b, mask::FOCUS_CHANGE);
         s.set_input_focus(a);
         s.set_input_focus(b);
-        let events: Vec<Event> = std::iter::from_fn(|| s.poll_event(c)).collect();
+        let events = s.drain_events(c);
         assert!(events
             .iter()
             .any(|e| matches!(e, Event::FocusIn { window } if *window == a)));
@@ -3207,7 +3205,7 @@ mod tests {
         s.map_window(w);
         // Map with no prior damage: one full-area Expose, count 0 — the
         // shape every count == 0 waiter in the toolkit relies on.
-        let events: Vec<Event> = std::iter::from_fn(|| s.poll_event(c)).collect();
+        let events = s.drain_events(c);
         assert_eq!(exposes(&events), vec![(0, 0, 100, 100, 0)]);
 
         // Two disjoint damage rects flush as a batch whose counts step
@@ -3215,7 +3213,7 @@ mod tests {
         s.damage_window(w, Rect::new(5, 5, 10, 10));
         s.damage_window(w, Rect::new(40, 40, 10, 10));
         s.flush_damage(w);
-        let events: Vec<Event> = std::iter::from_fn(|| s.poll_event(c)).collect();
+        let events = s.drain_events(c);
         let batch = exposes(&events);
         assert_eq!(batch.len(), 2);
         assert_eq!(batch[0].4, 1);
@@ -3231,10 +3229,10 @@ mod tests {
         // Damage before the window is viewable stays pending...
         s.damage_window(w, Rect::new(3, 3, 5, 5));
         s.flush_damage(w); // not viewable: delivers nothing
-        assert_eq!(s.pending(c), 0);
+        assert!(s.drain_events(c).is_empty());
         // ...and mapping swallows it into the full-area Expose.
         s.map_window(w);
-        let events: Vec<Event> = std::iter::from_fn(|| s.poll_event(c)).collect();
+        let events = s.drain_events(c);
         assert_eq!(exposes(&events), vec![(0, 0, 80, 60, 0)]);
     }
 
@@ -3245,12 +3243,12 @@ mod tests {
         let w = s.create_window(c, root, 0, 0, 50, 50, 0).unwrap();
         s.select_input(c, w, mask::EXPOSURE);
         s.map_window(w);
-        while s.poll_event(c).is_some() {}
+        s.drain_events(c);
         // Out-of-bounds damage is dropped; straddling damage is clamped.
         s.damage_window(w, Rect::new(100, 100, 10, 10));
         s.damage_window(w, Rect::new(40, 40, 20, 20));
         s.flush_damage(w);
-        let events: Vec<Event> = std::iter::from_fn(|| s.poll_event(c)).collect();
+        let events = s.drain_events(c);
         assert_eq!(exposes(&events), vec![(40, 40, 10, 10, 0)]);
         let obs = s.client_obs(c).unwrap();
         assert!(obs.damage_rects >= 1);

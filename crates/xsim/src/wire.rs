@@ -21,7 +21,7 @@
 //!
 //! The transport half runs the [`Server`] on its own dispatcher thread:
 //! clients encode request frames into per-client byte buffers and ship
-//! small control frames (flush, sync, reply take, event poll) through a
+//! small control frames (flush, sync, reply take, event fetch) through a
 //! FIFO inbox, blocking on a condvar until the dispatcher acknowledges
 //! the ticket. Acks are synchronous, which is what keeps counters, fault
 //! firings, and span shapes byte-identical to the in-process transport:
@@ -48,10 +48,12 @@ use crate::obs::RequestKind;
 use crate::server::{QueuedRequest, ReplyValue, Server, SyncReply, SyncRequest, OUT_BUF_CAPACITY};
 
 /// Protocol revision carried in every frame header. Version 2 added the
-/// CRC32 trailer field to the header; a version-1 peer is rejected with
-/// [`WireError::BadVersion`] (there is no negotiation — both ends of the
-/// simulated transport always speak the current revision).
-pub const WIRE_VERSION: u8 = 2;
+/// CRC32 trailer field to the header; version 3 made an event poll's ack
+/// carry every queued event and numbered the frame types densely. A peer
+/// speaking another revision is rejected with [`WireError::BadVersion`]
+/// (there is no negotiation — both ends of the simulated transport
+/// always speak the current revision).
+pub const WIRE_VERSION: u8 = 3;
 /// Bytes between the length prefix and the payload: version, frame type,
 /// opcode, sequence number, CRC32.
 pub const HEADER_LEN: usize = 16;
@@ -108,21 +110,18 @@ fn frame_crc(header_pre_crc: &[u8], payload: &[u8]) -> u32 {
 }
 
 // Frame types. Requests flow client -> server; replies, events, and
-// errors flow back; FLUSH/SYNC/TAKE/POLL/PENDING are transport control.
+// errors flow back; FLUSH/SYNC/TAKE/POLL are transport control.
 pub const FT_REQUEST: u8 = 1;
 pub const FT_SYNC: u8 = 2;
 pub const FT_SYNC_REPLY: u8 = 3;
 pub const FT_COOKIE_REPLY: u8 = 4;
 pub const FT_NO_REPLY: u8 = 5;
 pub const FT_EVENT: u8 = 6;
-pub const FT_NO_EVENT: u8 = 7;
-pub const FT_ERROR: u8 = 8;
-pub const FT_TAKE_REPLY: u8 = 9;
-pub const FT_POLL_EVENT: u8 = 10;
-pub const FT_PENDING: u8 = 11;
-pub const FT_PENDING_COUNT: u8 = 12;
-pub const FT_FLUSH_CLIENT: u8 = 13;
-pub const FT_FLUSH_ALL: u8 = 14;
+pub const FT_ERROR: u8 = 7;
+pub const FT_TAKE_REPLY: u8 = 8;
+pub const FT_POLL_EVENT: u8 = 9;
+pub const FT_FLUSH_CLIENT: u8 = 10;
+pub const FT_FLUSH_ALL: u8 = 11;
 
 /// A decode failure. Every malformed input maps to a structured error —
 /// the decoder never panics and never reads out of bounds.
@@ -1943,20 +1942,13 @@ fn dispatch(st: &mut WireState, client: ClientId, bytes: &[u8]) {
                 respond(st, client, resp);
             }
             FT_POLL_EVENT => {
+                // The ack carries every queued event, one FT_EVENT frame
+                // each; an empty ack means there were none.
                 flush_all_buffered(st);
-                let resp = match st.server.poll_event(client) {
-                    Some(ev) => {
-                        let (op, payload) = encode_event(&ev);
-                        frame(FT_EVENT, op, 0, &payload)
-                    }
-                    None => frame(FT_NO_EVENT, 0, 0, &[]),
-                };
-                respond(st, client, resp);
-            }
-            FT_PENDING => {
-                flush_all_buffered(st);
-                let n = st.server.pending(client);
-                respond(st, client, frame(FT_PENDING_COUNT, 0, n as u64, &[]));
+                for ev in st.server.drain_events(client) {
+                    let (op, payload) = encode_event(&ev);
+                    respond(st, client, frame(FT_EVENT, op, 0, &payload));
+                }
             }
             _ => {} // data frames never arrive via the inbox
         }
@@ -2213,6 +2205,9 @@ impl WireTransport {
         Self::apply_byte_fault(&mut st, client, &mut bytes);
         let stall = st.pending_stalls.remove(&client.0).unwrap_or(0);
         st.server.note_wire_encode(client, bytes.len());
+        if let Some(o) = st.server.client_obs_mut(client) {
+            o.wire.control_frames += 1;
+        }
         st.shipped += 1;
         let ticket = st.shipped;
         st.inbox.push_back(WireMsg {
@@ -2279,18 +2274,34 @@ impl WireTransport {
         buf.frames >= OUT_BUF_CAPACITY
     }
 
-    /// Decodes the single response frame a control round trip produced.
-    /// `None` means the connection is gone: the watchdog expired (empty
-    /// response), the server shut down, or the response bytes failed
-    /// integrity checks — callers surface a dead connection, never panic.
-    fn take_response(&self, st: &mut WireState, client: ClientId, resp: &[u8]) -> Option<RawFrame> {
+    /// Decodes the response frames a control round trip produced, in
+    /// order, stopping at the first damaged one. A sync or reply-take ack
+    /// is a single frame; an event poll's ack has one per event. Empty
+    /// means the connection is gone (the watchdog expired, the server
+    /// shut down, or the bytes failed integrity checks) — or, for an
+    /// event poll, that no events were queued. The bytes are read in
+    /// bounded chunks, as off a socket, so an ack of any size stays
+    /// within the reader's cap.
+    fn take_responses(&self, st: &mut WireState, client: ClientId, resp: &[u8]) -> Vec<RawFrame> {
         let mut fr = FrameReader::new();
-        if fr.push(resp).is_err() {
-            return None;
+        let mut frames = Vec::new();
+        let mut rest = resp;
+        loop {
+            match fr.next_frame() {
+                Ok(Some(f)) => {
+                    st.server.note_wire_decode(client, f.wire_len());
+                    frames.push(f);
+                }
+                Ok(None) if !rest.is_empty() => {
+                    let room = MAX_BUFFERED - fr.pending();
+                    let (chunk, tail) = rest.split_at(rest.len().min(room));
+                    fr.push(chunk).expect("sized to the reader's free room");
+                    rest = tail;
+                }
+                _ => break,
+            }
         }
-        let f = fr.next_frame().ok().flatten()?;
-        st.server.note_wire_decode(client, f.wire_len());
-        Some(f)
+        frames
     }
 
     fn buffered_frames(st: &WireState, client: ClientId) -> usize {
@@ -2401,7 +2412,7 @@ impl Transport for WireTransport {
         let bytes = frame(FT_SYNC, op, 0, &payload);
         let st = self.lock();
         let (mut st, resp) = self.ship_locked(st, client, bytes);
-        let Some(f) = self.take_response(&mut st, client, &resp) else {
+        let Some(f) = self.take_responses(&mut st, client, &resp).pop() else {
             return Err(XError::dead(0));
         };
         match f.frame_type {
@@ -2523,7 +2534,7 @@ impl Transport for WireTransport {
         let bytes = frame(FT_TAKE_REPLY, 0, seq, &[]);
         let st = self.lock();
         let (mut st, resp) = self.ship_locked(st, client, bytes);
-        let Some(f) = self.take_response(&mut st, client, &resp) else {
+        let Some(f) = self.take_responses(&mut st, client, &resp).pop() else {
             return WaitReply::NoReply { alive: false };
         };
         match f.frame_type {
@@ -2538,25 +2549,17 @@ impl Transport for WireTransport {
         }
     }
 
-    fn poll_event(&self, client: ClientId) -> Option<Event> {
+    fn fetch_events(&self, client: ClientId) -> Vec<Event> {
         let bytes = frame(FT_POLL_EVENT, 0, 0, &[]);
         let st = self.lock();
         let (mut st, resp) = self.ship_locked(st, client, bytes);
-        let f = self.take_response(&mut st, client, &resp)?;
-        match f.frame_type {
-            FT_EVENT => decode_event(f.opcode, &f.payload).ok(),
-            _ => None,
-        }
-    }
-
-    fn pending(&self, client: ClientId) -> usize {
-        let bytes = frame(FT_PENDING, 0, 0, &[]);
-        let st = self.lock();
-        let (mut st, resp) = self.ship_locked(st, client, bytes);
-        match self.take_response(&mut st, client, &resp) {
-            Some(f) if f.frame_type == FT_PENDING_COUNT => f.seq as usize,
-            _ => 0,
-        }
+        self.take_responses(&mut st, client, &resp)
+            .into_iter()
+            .map_while(|f| match f.frame_type {
+                FT_EVENT => decode_event(f.opcode, &f.payload).ok(),
+                _ => None,
+            })
+            .collect()
     }
 
     fn set_wire_deadline(&self, ms: u64) {

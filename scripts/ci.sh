@@ -25,6 +25,25 @@ cargo build --release --workspace --offline --locked
 echo "==> cargo test -q"
 cargo test -q --workspace --offline --locked
 
+# The benchmark's own checks (rtkbench/README.md): its unit tests, then
+# a 1-second smoke run of each workload BENCHMARK.json gates, which must
+# check every op correct with none failed. These stay ahead of every
+# RTK_*-prefixed step: the benchmark refuses to run with one set.
+echo "==> rtkbench tests"
+cargo test --release --offline --manifest-path rtkbench/Cargo.toml
+for workload in build_ui interact send_rpc; do
+    echo "==> rtkbench smoke run: $workload"
+    result=$(cargo run --release --quiet --offline --manifest-path rtkbench/Cargo.toml -- \
+        --workload "$workload" --seed 1 --seconds 1 --trace 0 | tail -n 1)
+    case "$result" in
+        *'"correct": true,'*'"failed": 0,'*) ;;
+        *)
+            echo "rtkbench $workload smoke run failed: $result"
+            exit 1
+            ;;
+    esac
+done
+
 # The golden-frame suite must be deterministic run to run, not just
 # within a process: render twice, in two separate invocations.
 echo "==> golden frames (twice, for determinism)"

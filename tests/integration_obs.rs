@@ -262,6 +262,7 @@ fn obs_reset_zeroes_wire_and_audit_counters() {
         "wire.flushes",
         "wire.checksum_errors",
         "wire.watchdog_fires",
+        "wire.control_frames",
         "audit.runs",
         "audit.violations",
     ] {
